@@ -15,6 +15,7 @@
 //! scenario-registry workload gauntlet and exits nonzero when a validity,
 //! cross-thread determinism or objective-gap gate fails.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use lp_solver::SolverConfig;
@@ -108,10 +109,13 @@ fn main() {
         std::process::exit(1);
     }
     if want("shade") && !shade_scaling() {
-        // Both shade gates are deterministic: cross-thread fingerprints are
-        // bit-identical by the chunk-order contract, and the greedy floor is
-        // structural to the solver — either miss is a real regression.
-        eprintln!("SHADE experiment: a cross-thread fingerprint or greedy-floor gate failed");
+        // All three shade gates are deterministic: cross-thread fingerprints
+        // are bit-identical by the chunk-order contract, the greedy floor is
+        // structural to the solver, and objectives and counters reproduce
+        // the committed rows exactly — any miss is a real regression.
+        eprintln!(
+            "SHADE experiment: a cross-thread, greedy-floor or committed-fingerprint gate failed"
+        );
         std::process::exit(1);
     }
     // `gauntlet` sweeps the full size grid; `gauntlet-smoke` (and the
@@ -1004,6 +1008,10 @@ fn paged_out_of_core() -> bool {
 /// 2. **Greedy floor**: shading's objective must match or beat the greedy
 ///    baseline's at every n — the solver's anytime contract makes this
 ///    structural, so a miss is a real quality regression.
+/// 3. **Committed fingerprints**: every row's objective, node and iteration
+///    counts must equal the committed `BENCH_shade.json` row with the same
+///    (n, strategy, threads), read before this run overwrites the file.
+///    All three are deterministic, so drift means the solver changed.
 ///
 /// Flat sketch→refine rides along as the quality/latency baseline where its
 /// sketch is tractable (through 120k by default; at 10^6 with
@@ -1017,6 +1025,11 @@ fn shade_scaling() -> bool {
     use packagebuilder::par::chunk_count;
 
     let mut ok = true;
+    let committed = committed_shade_rows("BENCH_shade.json");
+    if committed.is_empty() {
+        eprintln!("SHADE: no committed BENCH_shade.json rows; nothing to compare against");
+    }
+    let mut drifted = 0usize;
     println!("## SHADE — progressive shading vs flat sketch→refine (meal plan, no filter)\n");
     let widths = [10, 20, 8, 12, 14, 12, 12];
     print_header(
@@ -1092,17 +1105,29 @@ fn shade_scaling() -> bool {
             ],
             &widths,
         );
-        json_rows.push(format!(
-            "    {{\"n\": {n}, \"strategy\": \"{strategy}\", \"threads\": {threads}, \
-             \"ms\": {:.3}, \"objective\": {}, \"optimal\": {}, \"nodes\": {}, \
-             \"iterations\": {}, \"identical\": {identical}}}",
-            elapsed.as_secs_f64() * 1e3,
+        let fingerprint = [
             r.best_objective()
                 .map(|o| format!("{o:.3}"))
                 .unwrap_or_else(|| "null".into()),
+            r.stats.nodes.to_string(),
+            r.stats.iterations.to_string(),
+        ];
+        if let Some(base) = committed.get(&(n, strategy.to_string(), threads)) {
+            if *base != fingerprint {
+                eprintln!(
+                    "SHADE: {strategy} at n={n}, {threads} threads: (objective, nodes, \
+                     iterations) = {fingerprint:?}, committed {base:?}"
+                );
+                drifted += 1;
+            }
+        }
+        let [objective, nodes, iterations] = fingerprint;
+        json_rows.push(format!(
+            "    {{\"n\": {n}, \"strategy\": \"{strategy}\", \"threads\": {threads}, \
+             \"ms\": {:.3}, \"objective\": {objective}, \"optimal\": {}, \
+             \"nodes\": {nodes}, \"iterations\": {iterations}, \"identical\": {identical}}}",
+            elapsed.as_secs_f64() * 1e3,
             r.optimal,
-            r.stats.nodes,
-            r.stats.iterations,
         ));
     };
 
@@ -1185,6 +1210,11 @@ fn shade_scaling() -> bool {
         );
     }
 
+    if drifted > 0 {
+        eprintln!("SHADE: {drifted} row(s) differ from the committed BENCH_shade.json");
+        ok = false;
+    }
+
     let json = format!(
         "{{\n  \"experiment\": \"shade_scaling\",\n  \"query\": \"meal_plan_no_filter\",\n{}\n  \"rows\": [\n{}\n  ]\n}}\n",
         resource_json(),
@@ -1195,6 +1225,37 @@ fn shade_scaling() -> bool {
         Err(e) => println!("\n(could not write BENCH_shade.json: {e})\n"),
     }
     ok
+}
+
+/// The `(objective, nodes, iterations)` fingerprint of every row of a
+/// committed `BENCH_shade.json`, keyed by `(n, strategy, threads)`, in the
+/// formatting [`shade_scaling`] writes (the objective with three decimals
+/// or `null`). A missing or unreadable file gates nothing.
+fn committed_shade_rows(path: &str) -> BTreeMap<(usize, String, usize), [String; 3]> {
+    // The harness writes one row object per line, so a per-line field scan
+    // is a complete reader for its own format.
+    let field = |line: &str, key: &str| -> Option<String> {
+        let start = line.find(&format!("\"{key}\": "))? + key.len() + 4;
+        let rest = &line[start..];
+        let end = rest.find([',', '}'])?;
+        Some(rest[..end].trim_matches('"').to_string())
+    };
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    text.lines()
+        .filter_map(|line| {
+            let key = (
+                field(line, "n")?.parse().ok()?,
+                field(line, "strategy")?,
+                field(line, "threads")?.parse().ok()?,
+            );
+            let fingerprint = [
+                field(line, "objective")?,
+                field(line, "nodes")?,
+                field(line, "iterations")?,
+            ];
+            Some((key, fingerprint))
+        })
+        .collect()
 }
 
 fn e1_pruning() {

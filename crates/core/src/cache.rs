@@ -467,33 +467,24 @@ impl ViewCache {
     /// sharing a cache do not serialize their (potentially expensive) cold
     /// builds behind one another.
     pub fn view_for(&self, query: &PaqlQuery, table: &Table) -> PbResult<CandidateView> {
-        self.view_for_par(query, table, ParExec::sequential())
-    }
-
-    /// [`ViewCache::view_for`] with candidate evaluation and cache-miss
-    /// column materialization fanned out over `par` (the engine passes its
-    /// configured executor here). Thread count never changes the resulting
-    /// view, so warm hits primed at any `par` serve every other.
-    pub fn view_for_par(
-        &self,
-        query: &PaqlQuery,
-        table: &Table,
-        par: ParExec,
-    ) -> PbResult<CandidateView> {
         self.view_for_with(
             query,
             table,
             &crate::column_store::ColumnPolicy::default(),
-            par,
+            ParExec::sequential(),
         )
     }
 
-    /// [`ViewCache::view_for_par`] under an explicit
+    /// [`ViewCache::view_for`] with candidate evaluation and cache-miss
+    /// column materialization fanned out over `par` (the engine passes its
+    /// configured executor here), under an explicit
     /// [`crate::column_store::ColumnPolicy`] governing whether cache-miss
     /// columns are built resident or paged (see
-    /// [`CandidateView::build_par_with`]). Banked columns keep the storage
-    /// mode they were built with — storage mode never changes any result, so
-    /// hits primed under one policy serve queries running under another.
+    /// [`CandidateView::build_par_with`]). Thread count never changes the
+    /// resulting view, so warm hits primed at any `par` serve every other.
+    /// Banked columns keep the storage mode they were built with — storage
+    /// mode never changes any result, so hits primed under one policy serve
+    /// queries running under another.
     pub fn view_for_with(
         &self,
         query: &PaqlQuery,

@@ -50,11 +50,12 @@ pub enum Strategy {
     /// [`EngineConfig::sketch_threshold`] candidates.
     SketchRefine,
     /// Hierarchical sketch→refine over a partition *tree*
-    /// ([`crate::shading::ProgressiveShadingSolver`], after Progressive
+    /// ([`crate::sketch_refine::ProgressiveShadingSolver`], after Progressive
     /// Shading, Mai et al. 2023): sketch the coarsest layer's
     /// representatives, expand only the selected nodes into their children,
     /// re-sketch down the layers, and refine the shaded leaf partitions with
-    /// the flat solver's warm-hinted sub-ILPs. Every ILP stays small
+    /// warm-hinted sub-ILPs. [`Strategy::SketchRefine`] is the same descent
+    /// over a tree with no layers. Every ILP stays small
     /// regardless of the candidate count, so this is the
     /// 10^6–10^8-candidate route; `Auto` switches to it at
     /// [`EngineConfig::shade_threshold`] candidates, where the flat sketch
@@ -103,12 +104,6 @@ pub struct EngineConfig {
     /// the race without failing it. `Auto` and `Portfolio` are not valid
     /// workers.
     pub portfolio_workers: Vec<Strategy>,
-    /// Maximum partition size for [`Strategy::SketchRefine`]: the largest
-    /// sub-ILP the refinement phase will solve, and (inversely) the size of
-    /// the sketch ILP — median halving yields partitions holding between
-    /// half this bound and the bound itself, i.e. roughly `n / size` to
-    /// `2n / size` representatives.
-    pub sketch_partition_size: usize,
     /// Candidate-set size at or above which `Auto` stops trusting the
     /// monolithic ILP's latency for linearizable single-package queries and
     /// races a [`Strategy::Portfolio`] instead, with the race's exact worker
@@ -126,7 +121,7 @@ pub struct EngineConfig {
     /// [`Strategy::ProgressiveShading`] instead of the flat sketch→refine
     /// race. Below it the flat path's single sketch ILP is still small
     /// enough to win outright; above it that sketch — one integer variable
-    /// per partition, ~`n / sketch_partition_size` of them — becomes the
+    /// per partition, ~`n / shade_leaf_size` of them — becomes the
     /// dominant cost and the hierarchical descent takes over. Defaults to
     /// 500 000 candidates (~8 000 flat sketch variables at the default
     /// partition size).
@@ -135,10 +130,13 @@ pub struct EngineConfig {
     /// maximum node count of the coarsest layer): bounds every intermediate
     /// sketch ILP progressive shading solves during its descent.
     pub shade_fanout: usize,
-    /// Leaf partition size for [`Strategy::ProgressiveShading`] — the same
-    /// bound [`EngineConfig::sketch_partition_size`] puts on the flat path's
-    /// refinement sub-ILPs. Kept equal to it by default so the two solvers
-    /// share leaf partitionings and sub-ILP memos through the view cache.
+    /// Leaf partition size for [`Strategy::SketchRefine`] and
+    /// [`Strategy::ProgressiveShading`]: the largest sub-ILP the refinement
+    /// phase will solve, and (inversely) the width of the flat sketch ILP —
+    /// median halving yields partitions holding between half this bound and
+    /// the bound itself, i.e. roughly `n / size` to `2n / size` leaves. One
+    /// bound for both solvers, so they share leaf partitionings and sub-ILP
+    /// memos through the view cache.
     pub shade_leaf_size: usize,
     /// Branch-and-bound node cap for the **exact worker inside an
     /// `Auto`-chosen portfolio race** (the large-`n` linearizable route).
@@ -252,7 +250,6 @@ impl Default for EngineConfig {
             time_budget: None,
             portfolio_threshold: 256,
             portfolio_workers: default_portfolio_workers(num_threads),
-            sketch_partition_size: 64,
             sketch_threshold: 4096,
             shade_threshold: 500_000,
             shade_fanout: 64,

@@ -44,14 +44,13 @@
 //!   picked partitions one small sub-ILP at a time (with the SketchRefine
 //!   paper's failed-partition backtracking and a greedy anytime fallback) —
 //!   near-optimal packages at a fraction of the monolithic ILP's latency.
-//! * **[`shading`] — hierarchical partitioning for 10^6+ candidates.** At
-//!   [`config::EngineConfig::shade_threshold`] candidates the flat sketch
-//!   itself becomes the bottleneck (one integer variable per partition);
-//!   [`shading::ProgressiveShadingSolver`] grows the flat partitioning into
-//!   a [`partition::PartitionTree`] and descends it — sketch the coarsest
-//!   layer's representatives, expand only the selected nodes, re-sketch —
-//!   so every ILP stays small regardless of `n`, reusing the flat solver's
-//!   warm-hinted leaf sub-ILPs, backtracking and anytime degradation.
+//!   At [`config::EngineConfig::shade_threshold`] candidates that one flat
+//!   sketch becomes the bottleneck (one integer variable per partition);
+//!   [`sketch_refine::ProgressiveShadingSolver`] runs the same solver body
+//!   over a [`partition::PartitionTree`] — sketch the coarsest layer's
+//!   representatives, expand only the selected nodes, re-sketch — so every
+//!   ILP stays small regardless of `n`. The flat solver is the descent over
+//!   a tree with no layers.
 //! * **[`par`] — chunked data parallelism.** Term columns are dense but
 //!   logically chunked at a fixed 4096-element width
 //!   ([`view::TermColumn`], with per-chunk sum/min/max metadata that also
@@ -132,7 +131,6 @@ pub mod partition;
 pub mod portfolio;
 pub mod pruning;
 pub mod result;
-pub mod shading;
 pub mod sketch_refine;
 pub mod solver;
 pub mod spec;
@@ -150,8 +148,7 @@ pub use package::Package;
 pub use par::ParExec;
 pub use portfolio::PortfolioSolver;
 pub use result::{EvalStats, PackageResult, StrategyUsed};
-pub use shading::ProgressiveShadingSolver;
-pub use sketch_refine::SketchRefineSolver;
+pub use sketch_refine::{ProgressiveShadingSolver, SketchRefineSolver};
 pub use solver::{SolveOptions, SolveOutcome, Solver};
 pub use spec::PackageSpec;
 pub use view::{CandidateView, ViewState};

@@ -1,24 +1,37 @@
-//! The sketch→refine solver: near-optimal packages over large relations.
+//! Sketch→refine, flat and hierarchical: near-optimal packages over large
+//! relations.
 //!
 //! Monolithic ILP translation puts all `n` candidates in one problem, which
 //! is exact but scales poorly (the 25 ms portfolio race at n = 20 000 returns
 //! whatever greedy found, because no exact solver can finish in time).
 //! SketchRefine (Brucato, Abouzied, Meliou: "Scalable Package Queries in
 //! Relational Database Systems", PVLDB 9(7), 2016) showed the scalable
-//! alternative, later pushed to a billion tuples by Progressive Shading
-//! (Mai et al., 2023): solve a coarse problem first, then localize the exact
-//! work. Three phases over the [`crate::view::CandidateView`]:
+//! alternative: solve a coarse problem first, then localize the exact work.
+//! Progressive Shading (Mai, Abouzied, Brucato, Haas, Meliou: "Scaling
+//! Package Queries to a Billion Tuples via Hierarchical Partitioning and
+//! Customized Optimization", 2023) pushed it to a billion tuples by stacking
+//! the coarse problem into a hierarchy — and treats the flat sketch as its
+//! one-layer case. This module implements exactly that: one solver body,
+//! descending a partition tree over the [`crate::view::CandidateView`]:
 //!
 //! 1. **Partition** ([`crate::partition`]): size-bounded k-d splits of the
 //!    candidate set along the view's term columns — the quality-sensitive
-//!    attributes — each partition summarized by its centroid row.
-//! 2. **Sketch**: a tiny ILP with one integer variable `y_p ∈ [0, cap_p]`
-//!    per partition (multiplicity bound = partition capacity), whose
-//!    constraint rows and objective are the *linearized* original rows
-//!    aggregated by partition mean. Its solution says how many tuples to
-//!    draw from each partition.
-//! 3. **Refine**: partitions with `y_p > 0` are refined one at a time —
-//!    a sub-ILP over just that partition's real tuples, with every other
+//!    attributes — each leaf partition summarized by its centroid row.
+//!    [`ProgressiveShadingSolver`] groups the leaves into a
+//!    [`crate::partition::PartitionTree`] (the same k-d split applied to
+//!    leaf centroids, until the coarsest layer has at most
+//!    [`crate::solver::SolveOptions::shade_fanout`] nodes);
+//!    [`SketchRefineSolver`] uses the leaves alone — a tree with no layers.
+//! 2. **Sketch, layer by layer**: a small ILP with one integer variable
+//!    `y_p ∈ [0, cap_p]` per node (multiplicity bound = node capacity),
+//!    whose constraint rows and objective are the *linearized* original
+//!    rows aggregated by node mean. Starting at the coarsest layer, only the
+//!    nodes the sketch draws from are expanded into their children and
+//!    re-sketched, down to the leaves, so every intermediate ILP stays small
+//!    regardless of `n`. With no layers, the one leaf sketch covers every
+//!    partition — the flat SketchRefine sketch.
+//! 3. **Refine**: leaves with `y_p > 0` are refined one at a time — a
+//!    sub-ILP over just that partition's real tuples, with every other
 //!    partition's contribution fixed (already-refined actuals) or estimated
 //!    (still-sketched centroids). A failed sub-ILP triggers the paper's
 //!    backtracking rule: the failed partition is re-refined *first* and the
@@ -28,20 +41,29 @@
 //!    contract (`optimal: false`, never an error, never an overrun).
 //!
 //! The greedy baseline runs first, so the solver's answer is never worse
-//! than [`crate::solver::GreedySolver`]'s — sketch→refine only replaces it
-//! when the refined package scores strictly better. Inside the default
-//! portfolio race this duplicates the separate greedy worker's (cheap) run;
-//! that is deliberate: the baseline is what makes this solver's own result
+//! than [`crate::solver::GreedySolver`]'s — the sketched package only
+//! replaces it when it scores strictly better. Inside the default portfolio
+//! race this duplicates the separate greedy worker's (cheap) run; that is
+//! deliberate: the baseline is what makes this solver's own result
 //! anytime-safe and its quality floor deterministic, race or no race.
 //!
-//! Data parallelism (since the chunked columnar layout): the offline
-//! partitioning's spread scans and the representative-means matrix fan out
-//! over [`crate::solver::SolveOptions::par`] in fixed chunks, with the
-//! cooperative budget checked per chunk. The refine loop itself stays
-//! sequential *by data dependence* — each sub-ILP's right-hand side folds in
-//! the actuals of every partition refined before it — so its unit of work
-//! (and of budget checking) is one partition, which is exactly a chunk of
-//! candidates by construction.
+//! Both solvers partition through the view's memo
+//! ([`crate::cache::PartitionMemo`]) at the same leaf size, so the tree's
+//! leaf layer *is* the flat partitioning — one `Arc`, shared sub-ILP memo
+//! entries — and repeated queries (or portfolio workers racing over clones
+//! of one view) partition once.
+//!
+//! Data parallelism and determinism: the offline partitioning's spread scans
+//! and the representative-means matrix fan out over
+//! [`crate::solver::SolveOptions::par`] in fixed chunks, with the
+//! cooperative budget checked per chunk; layer means are aggregated in
+//! ascending child order and the descent's active sets are sorted after
+//! every expansion. The refine loop itself stays sequential *by data
+//! dependence* — each sub-ILP's right-hand side folds in the actuals of
+//! every partition refined before it — so its unit of work (and of budget
+//! checking) is one partition. Solves are bit-identical at every thread
+//! count and storage mode (`tests/parallel_determinism.rs`,
+//! `tests/paged_determinism.rs`).
 
 use std::collections::HashMap;
 
@@ -53,7 +75,7 @@ use crate::error::PbError;
 use crate::greedy::repair_to_feasibility;
 use crate::ilp::{linearize_formula, linearize_objective, LinearConstraint};
 use crate::package::Package;
-use crate::partition::Partition;
+use crate::partition::{Partition, TreeNode};
 use crate::result::{EvalStats, StrategyUsed};
 use crate::solver::{GreedySolver, SolveOptions, SolveOutcome, Solver};
 use crate::view::{CandidateView, ViewState};
@@ -63,7 +85,9 @@ use crate::PbResult;
 /// degrading the remaining sub-problems to greedy fills.
 const MAX_BACKTRACKS: usize = 3;
 
-/// Partition → sketch → refine evaluation (see the module docs).
+/// Flat partition → sketch → refine evaluation: the descent over a tree
+/// with no layers, one sketch over every leaf partition (see the module
+/// docs).
 ///
 /// Requires a linearizable query (same condition as [`crate::solver::IlpSolver`]);
 /// non-linearizable queries get [`PbError::Unsupported`], which also lets the
@@ -78,69 +102,119 @@ impl Solver for SketchRefineSolver {
     }
 
     fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
-        // pb-lint: allow(time-containment) — stats clock only: stamps
-        // solve_time_ms; refine deadlines go through the budget.
-        let start = std::time::Instant::now();
-        let rows = linearize_formula(view).map_err(|r| {
-            PbError::Unsupported(format!("sketch-refine requires a linearizable query: {r}"))
-        })?;
-        let objective = linearize_objective(view).map_err(|r| {
-            PbError::Unsupported(format!(
-                "sketch-refine requires a linearizable objective: {r}"
-            ))
-        })?;
-        if view.candidate_count() == 0 {
-            return Ok(SolveOutcome::empty(StrategyUsed::SketchRefine, 0, false));
-        }
-
-        // Greedy baseline first: the anytime answer, and the floor the
-        // refined package must beat to be returned.
-        let baseline = GreedySolver.solve(view, opts)?;
-        let mut counters = Counters {
-            nodes: baseline.stats.nodes,
-            iterations: baseline.stats.iterations,
-        };
-        let mut best: Option<(Package, Option<f64>)> = baseline.packages.into_iter().next();
-
-        if !opts.budget.expired() {
-            let refined = sketch_and_refine(
-                view,
-                &rows,
-                objective.as_ref().map(|o| o.coeffs.as_slice()),
-                opts,
-                &mut counters,
-            )?;
-            if let Some((package, obj)) = refined {
-                let direction = view.direction();
-                let replace = match &best {
-                    None => true,
-                    Some((_, cur)) => Package::better_objective(direction, obj, *cur),
-                };
-                if replace {
-                    best = Some((package, obj));
-                }
-            }
-        }
-
-        Ok(SolveOutcome {
-            packages: best.into_iter().collect(),
-            optimal: false,
-            stats: EvalStats {
-                strategy: StrategyUsed::SketchRefine,
-                candidates: view.candidate_count(),
-                nodes: counters.nodes,
-                iterations: counters.iterations,
-                elapsed: start.elapsed(),
-            },
-        })
+        solve_sketched(view, opts, self.strategy())
     }
 }
 
-/// Aggregated LP work across the sketch and every sub-ILP. Shared with the
-/// progressive-shading solver, which runs several sketches per solve.
-pub(crate) struct Counters {
-    pub(crate) nodes: u64,
-    pub(crate) iterations: u64,
+/// Partition-tree descent evaluation: progressive shading over
+/// [`crate::solver::SolveOptions::shade_fanout`]-wide layers, the route for
+/// 10^6+ candidates where one flat sketch gets too wide (see the module
+/// docs). Same query requirements and anytime contract as
+/// [`SketchRefineSolver`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ProgressiveShadingSolver;
+
+impl Solver for ProgressiveShadingSolver {
+    fn strategy(&self) -> StrategyUsed {
+        StrategyUsed::ProgressiveShading
+    }
+
+    fn solve(&self, view: &CandidateView, opts: &SolveOptions) -> PbResult<SolveOutcome> {
+        solve_sketched(view, opts, self.strategy())
+    }
+}
+
+/// The one solver body: linearize, run the greedy baseline, then descend —
+/// over the memoized partition tree for [`StrategyUsed::ProgressiveShading`],
+/// over the bare leaf partitioning (no layers, no tree memo entry) for
+/// [`StrategyUsed::SketchRefine`].
+fn solve_sketched(
+    view: &CandidateView,
+    opts: &SolveOptions,
+    strategy: StrategyUsed,
+) -> PbResult<SolveOutcome> {
+    // pb-lint: allow(time-containment) — stats clock only: stamps elapsed;
+    // sketch and refine deadlines go through the budget.
+    let start = std::time::Instant::now();
+    let rows = linearize_formula(view).map_err(|r| {
+        PbError::Unsupported(format!("{strategy} requires a linearizable query: {r}"))
+    })?;
+    let objective = linearize_objective(view).map_err(|r| {
+        PbError::Unsupported(format!("{strategy} requires a linearizable objective: {r}"))
+    })?;
+    if view.candidate_count() == 0 {
+        return Ok(SolveOutcome::empty(strategy, 0, false));
+    }
+
+    // Greedy baseline first: the anytime answer, and the floor the sketched
+    // package must beat to be returned.
+    let baseline = GreedySolver.solve(view, opts)?;
+    let mut counters = Counters {
+        nodes: baseline.stats.nodes,
+        iterations: baseline.stats.iterations,
+    };
+    let mut best: Option<(Package, Option<f64>)> = baseline.packages.into_iter().next();
+
+    if !opts.budget.expired() {
+        // Partitioning is O(n log n) setup; on a nearly-spent budget it is
+        // budget-checked per chunk and yields `None` (the baseline stands).
+        // Both routes go through the view's memo, so a repeated query — or a
+        // second worker over a clone of this view — reuses it.
+        let obj_coeffs = objective.as_ref().map(|o| o.coeffs.as_slice());
+        let (leaf_size, seed) = (opts.shade_leaf_size, opts.seed);
+        let refined = if strategy == StrategyUsed::ProgressiveShading {
+            match view.partition_tree(leaf_size, opts.shade_fanout, seed, &opts.budget, opts.par) {
+                Some(tree) => {
+                    let parts = tree.leaves().partitions();
+                    shade_and_refine(
+                        view,
+                        parts,
+                        tree.layers(),
+                        &rows,
+                        obj_coeffs,
+                        opts,
+                        &mut counters,
+                    )?
+                }
+                None => None,
+            }
+        } else {
+            match view.partitioning(leaf_size, seed, &opts.budget, opts.par) {
+                Some(leaves) => {
+                    let parts = leaves.partitions();
+                    shade_and_refine(view, parts, &[], &rows, obj_coeffs, opts, &mut counters)?
+                }
+                None => None,
+            }
+        };
+        if let Some((package, obj)) = refined {
+            let replace = match &best {
+                None => true,
+                Some((_, cur)) => Package::better_objective(view.direction(), obj, *cur),
+            };
+            if replace {
+                best = Some((package, obj));
+            }
+        }
+    }
+
+    Ok(SolveOutcome {
+        packages: best.into_iter().collect(),
+        optimal: false,
+        stats: EvalStats {
+            strategy,
+            candidates: view.candidate_count(),
+            nodes: counters.nodes,
+            iterations: counters.iterations,
+            elapsed: start.elapsed(),
+        },
+    })
+}
+
+/// Aggregated LP work across every sketch of the descent and every sub-ILP.
+struct Counters {
+    nodes: u64,
+    iterations: u64,
 }
 
 /// How many partitions one chunk of the representative-means computation
@@ -150,38 +224,27 @@ pub(crate) struct Counters {
 /// deterministic.
 const MEANS_PARTITIONS_PER_CHUNK: usize = 64;
 
-/// Runs phases 1–3; `Ok(None)` means the sketch was infeasible, the budget
-/// ran out mid-setup, or the refined package could not be repaired to
-/// feasibility (the greedy baseline then stands). `Err` is reserved for
-/// internal invariant violations.
-fn sketch_and_refine(
+/// Descends `layers` (finest first, as [`crate::partition::PartitionTree`]
+/// stores them; empty for the flat sketch) down to a shaded set of the
+/// `parts` leaves, then refines them. `Ok(None)` means a sketch was
+/// infeasible, the budget ran out mid-descent, or the refined package could
+/// not be repaired to feasibility — the greedy baseline then stands. `Err`
+/// is reserved for internal invariant violations.
+fn shade_and_refine(
     view: &CandidateView,
+    parts: &[Partition],
+    layers: &[Vec<TreeNode>],
     rows: &[LinearConstraint],
     obj_coeffs: Option<&[f64]>,
     opts: &SolveOptions,
     counters: &mut Counters,
-) -> crate::PbResult<Option<(Package, Option<f64>)>> {
-    // Partitioning and the means matrix are O(n log n) / O(rows·n) setup; on
-    // a nearly-spent budget (a slow greedy baseline under a tight race
-    // deadline) they must not push the solver past its ~2x-deadline
-    // contract, so both are budget-checked as they go — per chunk, not per
-    // element, now that both fan out over `opts.par`. The partitioning goes
-    // through the view's memo: a repeated query (or a second worker over a
-    // clone of this view) reuses the one computed before, and an engine with
-    // caching on carries it across queries entirely.
-    let partitioning = match view.partitioning(
-        opts.sketch_partition_size,
-        opts.seed,
-        &opts.budget,
-        opts.par,
-    ) {
-        Some(p) => p,
-        None => return Ok(None),
-    };
-    let parts = partitioning.partitions();
+) -> PbResult<Option<(Package, Option<f64>)>> {
     if parts.is_empty() {
         return Ok(None);
     }
+
+    // Leaf representative means, one row per constraint (plus the
+    // objective), chunk-fanned over `opts.par` and budget-checked per chunk.
     let mut means: Vec<Vec<f64>> = Vec::with_capacity(rows.len());
     for row in rows {
         match partition_means(parts, &row.coeffs, opts) {
@@ -200,32 +263,127 @@ fn sketch_and_refine(
         return Ok(None);
     }
 
-    // Phase 2 — the sketch ILP over one variable per partition.
-    let capacities: Vec<u64> = parts.iter().map(|p| p.capacity(view)).collect();
-    let means_rows: Vec<&[f64]> = means.iter().map(|m| m.as_slice()).collect();
-    let counts = match solve_sketch(
+    // Per-layer representative means, aggregated bottom-up from the leaf
+    // means: a node's mean is the weight-proportional mean of its children's
+    // (accumulated in ascending child order — deterministic). One coefficient
+    // row per constraint plus (optionally) the objective, laid out as
+    // `layer_means[layer][row][node]` with the objective last when present.
+    let mut coeff_rows: Vec<&[f64]> = means.iter().map(|m| m.as_slice()).collect();
+    if let Some(om) = obj_means.as_deref() {
+        coeff_rows.push(om);
+    }
+    let mut layer_means: Vec<Vec<Vec<f64>>> = Vec::with_capacity(layers.len());
+    for (l, layer) in layers.iter().enumerate() {
+        if opts.budget.expired() {
+            return Ok(None);
+        }
+        let rolled: Vec<Vec<f64>> = coeff_rows
+            .iter()
+            .enumerate()
+            .map(|(r, _)| {
+                layer
+                    .iter()
+                    .map(|node| {
+                        let total: f64 = node
+                            .children
+                            .iter()
+                            .map(|&c| {
+                                let (w, m) = if l == 0 {
+                                    (parts[c].members.len() as f64, coeff_rows[r][c])
+                                } else {
+                                    (layers[l - 1][c].weight as f64, layer_means[l - 1][r][c])
+                                };
+                                w * m
+                            })
+                            .sum();
+                        total / node.weight as f64
+                    })
+                    .collect()
+            })
+            .collect();
+        layer_means.push(rolled);
+    }
+
+    // Descent: sketch the coarsest layer, expand only the selected nodes,
+    // re-sketch — down to a shaded set of leaf ids. With no layers every
+    // leaf is shaded, and the leaf sketch below is the flat sketch.
+    let obj_row = obj_means.as_ref().map(|_| coeff_rows.len() - 1);
+    let mut active: Vec<usize> = match layers.last() {
+        None => (0..parts.len()).collect(),
+        Some(top) => (0..top.len()).collect(),
+    };
+    for (l, layer) in layers.iter().enumerate().rev() {
+        if opts.budget.expired() {
+            return Ok(None);
+        }
+        let capacities: Vec<u64> = active.iter().map(|&i| layer[i].capacity(view)).collect();
+        let gathered: Vec<Vec<f64>> = (0..rows.len())
+            .map(|r| active.iter().map(|&i| layer_means[l][r][i]).collect())
+            .collect();
+        let means_rows: Vec<&[f64]> = gathered.iter().map(|m| m.as_slice()).collect();
+        let layer_obj: Option<Vec<f64>> =
+            obj_row.map(|r| active.iter().map(|&i| layer_means[l][r][i]).collect());
+        let layer_counts = match solve_sketch(
+            view,
+            &capacities,
+            rows,
+            &means_rows,
+            layer_obj.as_deref(),
+            opts,
+            counters,
+        ) {
+            Some(c) => c,
+            None => return Ok(None),
+        };
+        let mut next: Vec<usize> = active
+            .iter()
+            .zip(&layer_counts)
+            .filter(|&(_, &count)| count > 0)
+            .flat_map(|(&i, _)| layer[i].children.iter().copied())
+            .collect();
+        next.sort_unstable();
+        if next.is_empty() {
+            return Ok(empty_if_feasible(view));
+        }
+        active = next;
+    }
+
+    // Leaf sketch over the shaded leaves, scattered back to full-length
+    // counts for the refine driver (zero outside the shade).
+    if opts.budget.expired() {
+        return Ok(None);
+    }
+    let capacities: Vec<u64> = active.iter().map(|&p| parts[p].capacity(view)).collect();
+    let gathered: Vec<Vec<f64>> = (0..rows.len())
+        .map(|r| active.iter().map(|&p| means[r][p]).collect())
+        .collect();
+    let means_rows: Vec<&[f64]> = gathered.iter().map(|m| m.as_slice()).collect();
+    let leaf_obj: Option<Vec<f64>> = obj_means
+        .as_ref()
+        .map(|om| active.iter().map(|&p| om[p]).collect());
+    let shaded_counts = match solve_sketch(
         view,
         &capacities,
         rows,
         &means_rows,
-        obj_means.as_deref(),
+        leaf_obj.as_deref(),
         opts,
         counters,
     ) {
         Some(c) => c,
         None => return Ok(None),
     };
+    let mut counts = vec![0u64; parts.len()];
+    for (&p, &c) in active.iter().zip(&shaded_counts) {
+        counts[p] = c;
+    }
 
-    // Phase 3 — refine picked partitions, most-loaded first (deterministic:
-    // ties break on partition id).
-    let mut order: Vec<usize> = (0..parts.len()).filter(|&p| counts[p] > 0).collect();
+    // Refine picked partitions, most-loaded first (deterministic: ties break
+    // on partition id).
+    let mut order: Vec<usize> = active.iter().copied().filter(|&p| counts[p] > 0).collect();
     order.sort_by_key(|&p| (std::cmp::Reverse(counts[p]), p));
     if order.is_empty() {
-        // The sketch says the empty package: only useful if it is feasible.
-        let state = ViewState::empty(view);
-        return Ok(state
-            .is_feasible()
-            .then(|| (state.to_package(), state.objective_value())));
+        return Ok(empty_if_feasible(view));
     }
 
     let ctx = RefineCtx {
@@ -236,9 +394,17 @@ fn sketch_and_refine(
         means: &means,
         counts: &counts,
         opts,
-        partition_sig: opts.sketch_partition_size as u64,
     };
     refine_with_backtracking(&ctx, order, counters)
+}
+
+/// A sketch that draws nothing says the empty package: only useful if it is
+/// feasible.
+fn empty_if_feasible(view: &CandidateView) -> Option<(Package, Option<f64>)> {
+    let state = ViewState::empty(view);
+    state
+        .is_feasible()
+        .then(|| (state.to_package(), state.objective_value()))
 }
 
 /// Representative coefficients: the partition mean of one coefficient
@@ -246,11 +412,7 @@ fn sketch_and_refine(
 /// column aggregated over partition `p` — per-partition values computed
 /// independently (no cross-partition reduction), so the chunk fan-out is
 /// trivially bit-identical at every thread count. `None` on budget expiry.
-pub(crate) fn partition_means(
-    parts: &[Partition],
-    coeffs: &[f64],
-    opts: &SolveOptions,
-) -> Option<Vec<f64>> {
+fn partition_means(parts: &[Partition], coeffs: &[f64], opts: &SolveOptions) -> Option<Vec<f64>> {
     let chunks = opts
         .par
         .run_chunks_width(parts.len(), MEANS_PARTITIONS_PER_CHUNK, |_, range| {
@@ -276,9 +438,9 @@ pub(crate) fn partition_means(
 /// per-group representative coefficients (`means_rows[c][j]` pairs with
 /// `capacities[j]`). Returns the per-group draw counts clamped to capacity,
 /// or `None` when the sketch is infeasible, truncated without a solution, or
-/// the budget expired. Shared by the flat sketch→refine path (one sketch
-/// over all partitions) and progressive shading (one sketch per tree layer).
-pub(crate) fn solve_sketch(
+/// the budget expired. The descent solves one per tree layer, plus the leaf
+/// sketch.
+fn solve_sketch(
     view: &CandidateView,
     capacities: &[u64],
     rows: &[LinearConstraint],
@@ -334,7 +496,7 @@ pub(crate) fn solve_sketch(
 /// failed-partition backtracking, then repairs any residual infeasibility.
 /// `Ok(None)` when no feasible package came out (the caller's greedy
 /// baseline stands).
-pub(crate) fn refine_with_backtracking(
+fn refine_with_backtracking(
     ctx: &RefineCtx<'_>,
     mut order: Vec<usize>,
     counters: &mut Counters,
@@ -385,23 +547,16 @@ pub(crate) fn refine_with_backtracking(
         .then(|| (state.to_package(), state.objective_value())))
 }
 
-/// Shared inputs of one refinement pass. Built by the flat sketch→refine
-/// path over its whole partitioning, and by progressive shading over the
-/// tree's leaf layer (with counts zero outside the shaded leaves).
-pub(crate) struct RefineCtx<'a> {
-    pub(crate) view: &'a CandidateView,
-    pub(crate) rows: &'a [LinearConstraint],
-    pub(crate) obj_coeffs: Option<&'a [f64]>,
-    pub(crate) parts: &'a [Partition],
-    pub(crate) means: &'a [Vec<f64>],
-    pub(crate) counts: &'a [u64],
-    pub(crate) opts: &'a SolveOptions,
-    /// Partition-identity component of the sub-ILP memo key: the size bound
-    /// the leaf partitioning was built with (`sketch_partition_size` on the
-    /// flat path, `shade_leaf_size` under shading). Equal bounds mean equal
-    /// leaf partitionings, so sharing memo entries across the two solvers is
-    /// exactly right.
-    pub(crate) partition_sig: u64,
+/// Shared inputs of one refinement pass over the leaf partitions (counts
+/// are zero outside the shaded leaves).
+struct RefineCtx<'a> {
+    view: &'a CandidateView,
+    rows: &'a [LinearConstraint],
+    obj_coeffs: Option<&'a [f64]>,
+    parts: &'a [Partition],
+    means: &'a [Vec<f64>],
+    counts: &'a [u64],
+    opts: &'a SolveOptions,
 }
 
 /// One refinement pass over `order`. Strict passes report the first
@@ -473,8 +628,9 @@ fn refine_pass<'v>(
 /// [`crate::cache::PartitionMemo`] memo key (see [`PartitionMemo::sub_ilp`]).
 ///
 /// The key encodes *everything* that determines the solve's result and its
-/// node/iteration counters: the partitioning identity (size, seed, partition
-/// id, member count), the multiplicity bound, the result-relevant solver
+/// node/iteration counters: the partitioning identity (leaf size, seed,
+/// partition id, member count — equal leaf sizes mean equal leaf
+/// partitionings, so flat and layered solves share entries), the multiplicity bound, the result-relevant solver
 /// knobs (tolerances and work limits — but not threads, deadlines, or stop
 /// flags, which by the determinism and anytime contracts can only truncate a
 /// solve, never change a *proven-optimal* one), and per row the operator,
@@ -487,7 +643,7 @@ fn sub_ilp_key(ctx: &RefineCtx<'_>, p: usize, fixed: &[f64], rem: &[f64]) -> Vec
     let members = &ctx.parts[p].members;
     let cfg = &ctx.opts.solver;
     let mut key = Vec::with_capacity(9 + ctx.rows.len() * (members.len() + 2) + members.len() + 1);
-    key.push(ctx.partition_sig);
+    key.push(ctx.opts.shade_leaf_size as u64);
     key.push(ctx.opts.seed);
     key.push(p as u64);
     key.push(members.len() as u64);
@@ -652,6 +808,7 @@ fn greedy_fill(ctx: &RefineCtx<'_>, p: usize, state: &mut ViewState<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::ParExec;
     use crate::spec::PackageSpec;
     use datagen::{recipes, Seed};
     use minidb::Table;
@@ -665,62 +822,172 @@ mod tests {
     const MEAL_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free' \
         SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(P.protein)";
 
-    #[test]
-    fn refined_packages_are_valid_and_beat_or_match_greedy() {
-        let t = recipes(2_000, Seed(1));
+    /// Options forcing a genuinely multi-layer tree at test-sized `n`.
+    fn deep_opts() -> SolveOptions {
+        SolveOptions {
+            shade_leaf_size: 8,
+            shade_fanout: 4,
+            ..SolveOptions::default()
+        }
+    }
+
+    /// The package at `n` is valid, approximate and no worse than greedy's.
+    fn assert_valid_and_beats_greedy(solver: &dyn Solver, opts: &SolveOptions, n: usize) {
+        let t = recipes(n, Seed(1));
         let spec = spec_for(&t, MEAL_QUERY);
-        let opts = SolveOptions::default();
-        let out = SketchRefineSolver.solve(spec.view(), &opts).unwrap();
-        assert_eq!(out.stats.strategy, StrategyUsed::SketchRefine);
-        assert!(!out.optimal, "sketch-refine is approximate by design");
-        let (p, obj) = out.packages.first().expect("a meal plan exists at n=2000");
+        let out = solver.solve(spec.view(), opts).unwrap();
+        assert_eq!(out.stats.strategy, solver.strategy());
+        assert!(!out.optimal, "sketch→refine is approximate by design");
+        let (p, obj) = out.packages.first().expect("a meal plan exists");
         assert!(spec.is_valid(p).unwrap());
-        let greedy = GreedySolver.solve(spec.view(), &opts).unwrap();
+        let greedy = GreedySolver.solve(spec.view(), opts).unwrap();
         if let Some((_, g)) = greedy.packages.first() {
             assert!(obj.unwrap() + 1e-9 >= g.unwrap(), "worse than greedy");
         }
     }
 
-    #[test]
-    fn non_linearizable_queries_are_rejected_with_unsupported() {
+    fn assert_rejects_non_linearizable(solver: &dyn Solver) {
         let t = recipes(100, Seed(2));
         let spec = spec_for(
             &t,
             "SELECT PACKAGE(R) AS P FROM recipes R \
              SUCH THAT COUNT(*) = 3 AND AVG(P.calories) >= AVG(P.protein)",
         );
-        let err = SketchRefineSolver
+        let err = solver
             .solve(spec.view(), &SolveOptions::default())
             .unwrap_err();
         assert!(matches!(err, PbError::Unsupported(_)));
     }
 
-    #[test]
-    fn empty_candidate_sets_yield_an_empty_outcome() {
+    fn assert_empty_on_no_candidates(solver: &dyn Solver) {
         let t = recipes(50, Seed(3));
         let spec = spec_for(
             &t,
             "SELECT PACKAGE(R) AS P FROM recipes R WHERE R.calories < 0 SUCH THAT COUNT(*) = 1",
         );
-        let out = SketchRefineSolver
-            .solve(spec.view(), &SolveOptions::default())
-            .unwrap();
+        let out = solver.solve(spec.view(), &SolveOptions::default()).unwrap();
         assert!(out.packages.is_empty());
         assert!(!out.optimal);
     }
 
-    #[test]
-    fn expired_budgets_return_the_anytime_result_without_error() {
+    fn assert_anytime_on_expired_budget(solver: &dyn Solver, opts: SolveOptions) {
         let t = recipes(2_000, Seed(4));
         let spec = spec_for(&t, MEAL_QUERY);
         let opts = SolveOptions {
             budget: crate::budget::Budget::with_limit(std::time::Duration::ZERO),
-            ..SolveOptions::default()
+            ..opts
         };
-        let out = SketchRefineSolver.solve(spec.view(), &opts).unwrap();
+        let out = solver.solve(spec.view(), &opts).unwrap();
         assert!(!out.optimal);
         for (p, _) in &out.packages {
             assert!(spec.is_valid(p).unwrap());
         }
+    }
+
+    #[test]
+    fn refined_packages_are_valid_and_beat_or_match_greedy() {
+        assert_valid_and_beats_greedy(&SketchRefineSolver, &SolveOptions::default(), 2_000);
+    }
+
+    #[test]
+    fn shaded_packages_are_valid_and_beat_or_match_greedy() {
+        // ~470 gluten-free leaves at size 8 under fanout 4: several layers.
+        assert_valid_and_beats_greedy(&ProgressiveShadingSolver, &deep_opts(), 3_000);
+    }
+
+    #[test]
+    fn descent_actually_runs_over_a_multi_layer_tree() {
+        let t = recipes(3_000, Seed(1));
+        let spec = spec_for(&t, MEAL_QUERY);
+        let opts = deep_opts();
+        let tree = spec
+            .view()
+            .partition_tree(
+                opts.shade_leaf_size,
+                opts.shade_fanout,
+                opts.seed,
+                &opts.budget,
+                opts.par,
+            )
+            .expect("unlimited budget grows the tree");
+        assert!(tree.height() >= 2, "test must exercise a real descent");
+    }
+
+    #[test]
+    fn non_linearizable_queries_are_rejected_with_unsupported() {
+        assert_rejects_non_linearizable(&SketchRefineSolver);
+    }
+
+    #[test]
+    fn shading_rejects_non_linearizable_queries_with_unsupported() {
+        assert_rejects_non_linearizable(&ProgressiveShadingSolver);
+    }
+
+    #[test]
+    fn empty_candidate_sets_yield_an_empty_outcome() {
+        assert_empty_on_no_candidates(&SketchRefineSolver);
+    }
+
+    #[test]
+    fn shading_yields_an_empty_outcome_on_empty_candidate_sets() {
+        assert_empty_on_no_candidates(&ProgressiveShadingSolver);
+    }
+
+    #[test]
+    fn expired_budgets_return_the_anytime_result_without_error() {
+        assert_anytime_on_expired_budget(&SketchRefineSolver, SolveOptions::default());
+    }
+
+    #[test]
+    fn shading_returns_the_anytime_result_on_an_expired_budget() {
+        assert_anytime_on_expired_budget(&ProgressiveShadingSolver, deep_opts());
+    }
+
+    #[test]
+    fn shading_is_thread_count_invariant() {
+        let t = recipes(3_000, Seed(5));
+        let spec = spec_for(&t, MEAL_QUERY);
+        let base = deep_opts();
+        let sequential = ProgressiveShadingSolver.solve(spec.view(), &base).unwrap();
+        let threaded = ProgressiveShadingSolver
+            .solve(
+                spec.view(),
+                &SolveOptions {
+                    par: ParExec::new(4),
+                    ..deep_opts()
+                },
+            )
+            .unwrap();
+        assert_eq!(sequential.packages, threaded.packages);
+        assert_eq!(sequential.stats.nodes, threaded.stats.nodes);
+        assert_eq!(sequential.stats.iterations, threaded.stats.iterations);
+    }
+
+    #[test]
+    fn few_leaves_degenerate_to_the_flat_sketch_path() {
+        // Leaves fit under the fanout: the tree has no layers, every leaf is
+        // shaded, and the descent is the flat sketch — same package, same
+        // LP work as the flat solver.
+        let t = recipes(300, Seed(6));
+        let spec = spec_for(&t, MEAL_QUERY);
+        let opts = SolveOptions::default(); // leaf 64 / fanout 64 → height 0
+        let tree = spec
+            .view()
+            .partition_tree(
+                opts.shade_leaf_size,
+                opts.shade_fanout,
+                opts.seed,
+                &opts.budget,
+                opts.par,
+            )
+            .unwrap();
+        assert_eq!(tree.height(), 0);
+        let shaded = ProgressiveShadingSolver.solve(spec.view(), &opts).unwrap();
+        let (p, _) = shaded.packages.first().expect("feasible at n=300");
+        assert!(spec.is_valid(p).unwrap());
+        let flat = SketchRefineSolver.solve(spec.view(), &opts).unwrap();
+        assert_eq!(shaded.packages, flat.packages);
+        assert_eq!(shaded.stats.nodes, flat.stats.nodes);
+        assert_eq!(shaded.stats.iterations, flat.stats.iterations);
     }
 }

@@ -50,14 +50,11 @@ pub struct SolveOptions {
     pub max_local_moves: usize,
     /// Local search: number of restarts.
     pub local_restarts: usize,
-    /// Sketch→refine: maximum partition size (bounds each refinement
-    /// sub-ILP).
-    pub sketch_partition_size: usize,
     /// Progressive shading: maximum children per partition-tree node, which
     /// bounds every intermediate sketch ILP of the descent.
     pub shade_fanout: usize,
-    /// Progressive shading: leaf partition size (bounds the leaf sub-ILPs,
-    /// like `sketch_partition_size` does on the flat path).
+    /// Sketch→refine and progressive shading: leaf partition size (bounds
+    /// each refinement sub-ILP).
     pub shade_leaf_size: usize,
     /// Candidate count at which the portfolio's sketch worker upgrades to
     /// progressive shading (see [`EngineConfig::shade_threshold`]).
@@ -88,7 +85,6 @@ impl SolveOptions {
             replacement_k: config.replacement_k,
             max_local_moves: config.max_local_moves,
             local_restarts: config.local_restarts,
-            sketch_partition_size: config.sketch_partition_size,
             shade_fanout: config.shade_fanout,
             shade_leaf_size: config.shade_leaf_size,
             shade_threshold: config.shade_threshold,
@@ -319,7 +315,7 @@ pub fn solver_for(strategy: Strategy) -> PbResult<Box<dyn Solver>> {
         Strategy::LocalSearch => Box::new(LocalSearchSolver),
         Strategy::Greedy => Box::new(GreedySolver),
         Strategy::SketchRefine => Box::new(crate::sketch_refine::SketchRefineSolver),
-        Strategy::ProgressiveShading => Box::new(crate::shading::ProgressiveShadingSolver),
+        Strategy::ProgressiveShading => Box::new(crate::sketch_refine::ProgressiveShadingSolver),
         Strategy::Portfolio => Box::new(crate::portfolio::PortfolioSolver::default()),
         Strategy::Auto => {
             return Err(crate::error::PbError::Internal(

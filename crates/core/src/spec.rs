@@ -85,24 +85,23 @@ impl<'a> PackageSpec<'a> {
     /// candidate rows are profiled and lowered into the columnar view in the
     /// same pass, borrowing rows straight from the table (no clones).
     pub fn build(analyzed: &AnalyzedQuery, table: &'a Table) -> PbResult<Self> {
-        Self::build_par(analyzed, table, ParExec::sequential())
+        Self::build_with(
+            analyzed,
+            table,
+            &ColumnPolicy::default(),
+            ParExec::sequential(),
+        )
     }
 
     /// [`PackageSpec::build`] with the base-predicate scan and column
-    /// materialization fanned out over `par` (see [`crate::par`]); the
-    /// engine passes its configured executor here. Bit-identical to the
-    /// sequential build at every thread count. Column storage follows
-    /// [`ColumnPolicy::default`] (environment-derived);
-    /// [`PackageSpec::build_with`] takes an explicit policy.
-    pub fn build_par(analyzed: &AnalyzedQuery, table: &'a Table, par: ParExec) -> PbResult<Self> {
-        Self::build_with(analyzed, table, &ColumnPolicy::default(), par)
-    }
-
-    /// [`PackageSpec::build_par`] under an explicit [`ColumnPolicy`]: the
-    /// view's term columns go out-of-core (spill file + buffer pool) when
-    /// their estimated footprint exceeds the policy's resident budget —
-    /// [`crate::config::EngineConfig::column_memory_budget`] arrives here.
-    /// The storage mode never changes results, only where column bytes live.
+    /// materialization fanned out over `par` (see [`crate::par`]; the engine
+    /// passes its configured executor here), under an explicit
+    /// [`ColumnPolicy`]: the view's term columns go out-of-core (spill file +
+    /// buffer pool) when their estimated footprint exceeds the policy's
+    /// resident budget — [`crate::config::EngineConfig::column_memory_budget`]
+    /// arrives here. Bit-identical to the sequential build at every thread
+    /// count; the storage mode never changes results, only where column
+    /// bytes live.
     pub fn build_with(
         analyzed: &AnalyzedQuery,
         table: &'a Table,
@@ -131,34 +130,14 @@ impl<'a> PackageSpec<'a> {
         })
     }
 
-    /// [`PackageSpec::build`] through a [`ViewCache`]: candidate evaluation,
-    /// statistics and term columns are reused from the cache when the
-    /// relation contents and base predicate match a cached bank (with only
-    /// missing term columns materialized), and banked for future queries
-    /// otherwise. The resulting spec is indistinguishable from a cold build
-    /// — see the cache module docs for the determinism argument.
-    pub fn build_cached(
-        analyzed: &AnalyzedQuery,
-        table: &'a Table,
-        cache: &ViewCache,
-    ) -> PbResult<Self> {
-        Self::build_cached_par(analyzed, table, cache, ParExec::sequential())
-    }
-
-    /// [`PackageSpec::build_cached`] with cache-miss work (candidate
-    /// evaluation, missing-column materialization) fanned out over `par`.
-    pub fn build_cached_par(
-        analyzed: &AnalyzedQuery,
-        table: &'a Table,
-        cache: &ViewCache,
-        par: ParExec,
-    ) -> PbResult<Self> {
-        Self::build_cached_with(analyzed, table, cache, &ColumnPolicy::default(), par)
-    }
-
-    /// [`PackageSpec::build_cached_par`] under an explicit [`ColumnPolicy`]
-    /// (see [`PackageSpec::build_with`]); cache-miss columns obey the
-    /// policy, banked columns keep the mode they were built with.
+    /// [`PackageSpec::build_with`] through a [`ViewCache`]: candidate
+    /// evaluation, statistics and term columns are reused from the cache
+    /// when the relation contents and base predicate match a cached bank
+    /// (with only missing term columns materialized, fanned out over `par`),
+    /// and banked for future queries otherwise. Cache-miss columns obey
+    /// `policy`; banked columns keep the mode they were built with. The
+    /// resulting spec is indistinguishable from a cold build — see the cache
+    /// module docs for the determinism argument.
     pub fn build_cached_with(
         analyzed: &AnalyzedQuery,
         table: &'a Table,

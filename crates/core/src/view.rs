@@ -33,7 +33,7 @@
 //!
 //! Since the [`crate::cache`] subsystem landed, a view can also be
 //! *assembled* from previously materialized building blocks
-//! ([`CandidateView::assemble`]): the candidate list, statistics and any
+//! ([`CandidateView::assemble_par_with`]): the candidate list, statistics and any
 //! already-built term columns are reused verbatim and only the columns the
 //! new query adds are computed from the base table. Every view additionally
 //! carries a [`crate::cache::PartitionMemo`] so the sketch→refine solver's
@@ -686,7 +686,9 @@ pub struct CandidateView {
 
 impl CandidateView {
     /// Lowers a query (candidates + formula + objective) into columns,
-    /// sequentially — [`CandidateView::build_par`] with a 1-thread executor.
+    /// sequentially and under the environment-derived
+    /// [`ColumnPolicy::default`] — [`CandidateView::build_par_with`] with a
+    /// 1-thread executor.
     ///
     /// Evaluation errors (non-numeric aggregate arguments, unknown columns)
     /// surface here, once, instead of on every package evaluation.
@@ -697,31 +699,6 @@ impl CandidateView {
         formula: Option<GlobalFormula>,
         objective: Option<Objective>,
     ) -> PbResult<Self> {
-        Self::build_par(
-            table,
-            candidates,
-            max_multiplicity,
-            formula,
-            objective,
-            ParExec::sequential(),
-        )
-    }
-
-    /// [`CandidateView::build`] with column materialization fanned out over
-    /// `par` ([`crate::par::CHUNK_WIDTH`]-wide chunks of the candidate set per task).
-    /// The resulting view is bit-identical at every thread count: chunks
-    /// write disjoint fixed ranges and evaluation errors are reported in
-    /// chunk order. Storage mode follows [`ColumnPolicy::default`] (the
-    /// environment-derived policy); [`CandidateView::build_par_with`] takes
-    /// an explicit one.
-    pub fn build_par(
-        table: &Table,
-        candidates: Vec<TupleId>,
-        max_multiplicity: u32,
-        formula: Option<GlobalFormula>,
-        objective: Option<Objective>,
-        par: ParExec,
-    ) -> PbResult<Self> {
         Self::build_par_with(
             table,
             candidates,
@@ -729,15 +706,20 @@ impl CandidateView {
             formula,
             objective,
             &ColumnPolicy::default(),
-            par,
+            ParExec::sequential(),
         )
     }
 
-    /// [`CandidateView::build_par`] under an explicit [`ColumnPolicy`]: the
-    /// view's columns go paged when their estimated footprint exceeds the
-    /// policy's resident budget (the engine threads
+    /// [`CandidateView::build`] with column materialization fanned out over
+    /// `par` ([`crate::par::CHUNK_WIDTH`]-wide chunks of the candidate set
+    /// per task), under an explicit [`ColumnPolicy`]: the view's columns go
+    /// paged when their estimated footprint exceeds the policy's resident
+    /// budget (the engine threads
     /// [`crate::config::EngineConfig::column_memory_budget`] through here).
-    /// Storage mode never changes results — only where column bytes live.
+    /// The resulting view is bit-identical at every thread count — chunks
+    /// write disjoint fixed ranges and evaluation errors are reported in
+    /// chunk order — and storage mode never changes results, only where
+    /// column bytes live.
     #[allow(clippy::too_many_arguments)]
     pub fn build_par_with(
         table: &Table,
@@ -772,71 +754,21 @@ impl CandidateView {
     /// Assembles a view from precomputed building blocks: the candidate list
     /// and statistics are adopted verbatim, and each required term column is
     /// first requested from `column_source` — only columns the source does
-    /// not have are materialized from the base table. With a source that
-    /// always returns `None` this is exactly [`CandidateView::build`]; with
-    /// the engine's [`crate::cache::ViewCache`] as the source, a repeated
-    /// query skips per-row evaluation entirely and a query that adds
-    /// aggregate terms pays only for the new columns.
+    /// not have are materialized from the base table, fanned out over `par`
+    /// chunk by chunk. With a source that always returns `None` this is
+    /// exactly [`CandidateView::build_par_with`]; with the engine's
+    /// [`crate::cache::ViewCache`] as the source, a repeated query skips
+    /// per-row evaluation entirely and a query that adds aggregate terms
+    /// pays only for the new columns.
     ///
     /// The resulting view is bit-identical to a cold [`CandidateView::build`]
     /// of the same query: terms are interned in the query's own discovery
     /// order, so compiled expressions, column order — and therefore solver
     /// results — do not depend on whether columns came from the source.
-    pub fn assemble(
-        table: &Table,
-        candidates: Vec<TupleId>,
-        stats: TableStats,
-        max_multiplicity: u32,
-        formula: Option<GlobalFormula>,
-        objective: Option<Objective>,
-        column_source: impl FnMut(&AggCall) -> Option<TermColumn>,
-    ) -> PbResult<Self> {
-        Self::assemble_par(
-            table,
-            candidates,
-            stats,
-            max_multiplicity,
-            formula,
-            objective,
-            column_source,
-            ParExec::sequential(),
-        )
-    }
-
-    /// [`CandidateView::assemble`] with cache-miss column materialization
-    /// fanned out over `par`, chunk by chunk (the engine's cached build path
-    /// uses this, so only the columns a query actually adds pay evaluation
-    /// cost — and they pay it in parallel).
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble_par(
-        table: &Table,
-        candidates: Vec<TupleId>,
-        stats: TableStats,
-        max_multiplicity: u32,
-        formula: Option<GlobalFormula>,
-        objective: Option<Objective>,
-        column_source: impl FnMut(&AggCall) -> Option<TermColumn>,
-        par: ParExec,
-    ) -> PbResult<Self> {
-        Self::assemble_par_with(
-            table,
-            candidates,
-            stats,
-            max_multiplicity,
-            formula,
-            objective,
-            column_source,
-            &ColumnPolicy::default(),
-            par,
-        )
-    }
-
-    /// [`CandidateView::assemble_par`] under an explicit [`ColumnPolicy`]
-    /// (see [`CandidateView::build_par_with`]). Columns adopted from the
-    /// source keep whatever storage mode they were built with; only the
-    /// columns this assembly materializes are subject to the policy — a
-    /// view may legitimately mix resident (cached) and paged (fresh)
-    /// columns.
+    /// Columns adopted from the source keep whatever storage mode they were
+    /// built with; only the columns this assembly materializes are subject
+    /// to `policy` — a view may legitimately mix resident (cached) and paged
+    /// (fresh) columns.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble_par_with(
         table: &Table,
@@ -1041,8 +973,8 @@ impl CandidateView {
     /// The progressive-shading partition tree over this view's candidates,
     /// memoized per `(leaf_size, fanout, seed)` beside the flat
     /// partitionings — and *sharing* the `(leaf_size, seed)` leaf
-    /// partitioning with them (one `Arc`), so with `shade_leaf_size` equal
-    /// to `sketch_partition_size` the flat and hierarchical solvers pay for
+    /// partitioning with them (one `Arc`), so the flat and hierarchical
+    /// sketch solvers, which both partition at `shade_leaf_size`, pay for
     /// the leaves once between them. `None` on budget expiry (nothing is
     /// memoized), like [`CandidateView::partitioning`].
     pub fn partition_tree(
@@ -1192,7 +1124,7 @@ impl CandidateView {
 
 /// Evaluates one fixed-width chunk of a term column into chunk-local
 /// coefficient/inclusion buffers (stitched back in chunk order by the
-/// caller — see [`CandidateView::assemble_par`]). Pure per-row work, which
+/// caller — see [`CandidateView::assemble_par_with`]). Pure per-row work, which
 /// is what makes the chunk fan-out deterministic.
 fn materialize_chunk(
     call: &AggCall,

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use datagen::{recipes, scenarios, QueryParams, Seed};
 use minidb::{Catalog, Table};
 use packagebuilder::budget::Budget;
+use packagebuilder::column_store::ColumnPolicy;
 use packagebuilder::config::{EngineConfig, Strategy};
 use packagebuilder::par::ParExec;
 use packagebuilder::solver::{GreedySolver, IlpSolver, LocalSearchSolver, SolveOptions, Solver};
@@ -156,7 +157,13 @@ fn parallel_view_builds_match_sequential_builds() {
     let analyzed = paql::compile(WIDE_QUERY, table.schema()).unwrap();
     let sequential = PackageSpec::build(&analyzed, &table).unwrap();
     for threads in [2usize, 8] {
-        let parallel = PackageSpec::build_par(&analyzed, &table, ParExec::new(threads)).unwrap();
+        let parallel = PackageSpec::build_with(
+            &analyzed,
+            &table,
+            &ColumnPolicy::default(),
+            ParExec::new(threads),
+        )
+        .unwrap();
         assert_eq!(sequential.candidates, parallel.candidates);
         assert_eq!(
             sequential.view().terms().len(),

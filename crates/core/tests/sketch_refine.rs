@@ -228,3 +228,68 @@ fn avg_constrained_queries_route_to_ilp_and_match_the_enumeration_oracle() {
         other => panic!("ilp and oracle disagree on feasibility: {other:?}"),
     }
 }
+
+/// The meal-plan query of the experiment harness (`pb_bench::MEAL_PLAN_QUERY`,
+/// copied: pb-core cannot depend on pb-bench).
+const MEAL_PLAN_QUERY: &str = "SELECT PACKAGE(R) AS P FROM recipes R \
+    WHERE R.gluten = 'free' \
+    SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 \
+    MAXIMIZE SUM(P.protein)";
+
+/// Pinned `(objective, B&B nodes, simplex iterations, package tuple ids)`
+/// of the meal plan over `recipes(n, Seed(20140901))`. The flat rows are
+/// the descent over a tree with no layers; the shaded row descends a real
+/// layer of the default-fanout tree at n = 20 000. Any change to
+/// partitioning, sketching, refinement or the sub-ILP memo moves at least
+/// one of these numbers.
+#[test]
+fn pinned_meal_plan_results_are_bit_identical_at_every_thread_count_and_storage_mode() {
+    let pins: [(Strategy, usize, f64, u64, u64, [u32; 3]); 3] = [
+        (
+            Strategy::SketchRefine,
+            2_000,
+            247.0,
+            30,
+            1878,
+            [98, 1280, 1869],
+        ),
+        (
+            Strategy::SketchRefine,
+            20_000,
+            246.0,
+            350,
+            17773,
+            [5861, 13704, 15397],
+        ),
+        (
+            Strategy::ProgressiveShading,
+            20_000,
+            246.0,
+            177,
+            17209,
+            [5861, 13704, 15397],
+        ),
+    ];
+    for (strategy, n, objective, nodes, iterations, ids) in pins {
+        for threads in [1, 2] {
+            for paged in [false, true] {
+                let mut catalog = Catalog::new();
+                catalog.register(recipes(n, Seed(20140901)));
+                let mut config = EngineConfig::with_strategy(strategy)
+                    .with_seed(20140901)
+                    .with_num_threads(threads);
+                if paged {
+                    config = config.with_column_memory_budget(0).with_pool_pages(2);
+                }
+                let engine = PackageEngine::with_config(catalog, config);
+                let r = engine.execute_paql(MEAL_PLAN_QUERY).unwrap();
+                let at = format!("{strategy:?} n={n} threads={threads} paged={paged}");
+                assert_eq!(r.best_objective(), Some(objective), "{at}: objective");
+                assert_eq!(r.stats.nodes, nodes, "{at}: nodes");
+                assert_eq!(r.stats.iterations, iterations, "{at}: iterations");
+                let got: Vec<u32> = r.packages[0].tuple_ids().iter().map(|t| t.0).collect();
+                assert_eq!(got, ids, "{at}: package");
+            }
+        }
+    }
+}
