@@ -846,9 +846,14 @@ fn bnb_exact_core() -> bool {
 }
 
 /// PAGED — the out-of-core column store: the meal-plan query solved twice
-/// per n, once with fully resident columns (the reference) and once forced
-/// out-of-core through a buffer pool capped far below the view's column
-/// bytes. Two claims under test:
+/// per (n, strategy) cell, once with fully resident columns (the reference)
+/// and once forced out-of-core through a buffer pool capped far below the
+/// view's column bytes. The cells are the deterministic strategies `Auto`
+/// dispatches to at each n — the exact ILP at 2 000; sketch-refine,
+/// progressive shading and greedy at 20 000 and 120 000 — not `Auto`
+/// itself, whose portfolio race at 20 000 ends with node and iteration
+/// totals that depend on when its exact worker cancels the others. Two
+/// claims under test:
 ///
 /// 1. **Bit-identity** (the gate): the paged run returns the same packages,
 ///    objectives, optimality flags and node/iteration counters as the
@@ -869,10 +874,11 @@ fn paged_out_of_core() -> bool {
 
     let mut all_identical = true;
     println!("## PAGED — out-of-core column store vs resident (meal plan)\n");
-    let widths = [9, 10, 12, 14, 12, 16, 12];
+    let widths = [9, 20, 10, 12, 14, 12, 16, 12];
     print_header(
         &[
             "n",
+            "strategy",
             "mode",
             "time (ms)",
             "objective",
@@ -911,6 +917,7 @@ fn paged_out_of_core() -> bool {
         )
     };
     let mut emit = |n: usize,
+                    strategy: &str,
                     mode: &str,
                     pool: Option<usize>,
                     r: &packagebuilder::PackageResult,
@@ -920,6 +927,7 @@ fn paged_out_of_core() -> bool {
         print_row(
             &[
                 n.to_string(),
+                strategy.into(),
                 mode.into(),
                 ms(elapsed),
                 r.best_objective()
@@ -936,7 +944,7 @@ fn paged_out_of_core() -> bool {
             &widths,
         );
         json_rows.push(format!(
-            "    {{\"n\": {n}, \"mode\": \"{mode}\", \"ms\": {:.3}, \"objective\": {}, \
+            "    {{\"n\": {n}, \"strategy\": \"{strategy}\", \"mode\": \"{mode}\", \"ms\": {:.3}, \"objective\": {}, \
              \"optimal\": {}, \"nodes\": {}, \"iterations\": {}, \"pool_pages\": {}, \
              \"pool_hits\": {h}, \"pool_misses\": {m}, \"pool_evictions\": {e}, \
              \"identical\": {identical}}}",
@@ -951,29 +959,44 @@ fn paged_out_of_core() -> bool {
         ));
     };
 
-    for n in [2_000usize, 20_000, 120_000] {
+    let heuristic = [
+        ("sketch-refine", Strategy::SketchRefine),
+        ("progressive-shading", Strategy::ProgressiveShading),
+        ("greedy", Strategy::Greedy),
+    ];
+    let cells: [(usize, &[(&str, Strategy)]); 3] = [
+        (2_000, &[("ilp", Strategy::Ilp)]),
+        (20_000, &heuristic),
+        (120_000, &heuristic),
+    ];
+    for (n, strategies) in cells {
         // The pool cap: well under the view's upper-bound page count
         // (3 term columns × one page per chunk of n), floored at the
         // 2-page minimum for the small sizes.
         let pool = (3 * chunk_count(n) / 16).max(2);
-        let (reference, ref_time, ref_pool) = solve(n, Strategy::Auto, None);
-        emit(n, "resident", None, &reference, ref_time, ref_pool, true);
-        let (paged, paged_time, paged_pool) = solve(n, Strategy::Auto, Some(pool));
-        let identical = paged.packages == reference.packages
-            && paged.objectives == reference.objectives
-            && paged.optimal == reference.optimal
-            && paged.stats.nodes == reference.stats.nodes
-            && paged.stats.iterations == reference.stats.iterations;
-        all_identical &= identical;
-        emit(
-            n,
-            "paged",
-            Some(pool),
-            &paged,
-            paged_time,
-            paged_pool,
-            identical,
-        );
+        for &(label, strategy) in strategies {
+            let (reference, ref_time, ref_pool) = solve(n, strategy, None);
+            emit(
+                n, label, "resident", None, &reference, ref_time, ref_pool, true,
+            );
+            let (paged, paged_time, paged_pool) = solve(n, strategy, Some(pool));
+            let identical = paged.packages == reference.packages
+                && paged.objectives == reference.objectives
+                && paged.optimal == reference.optimal
+                && paged.stats.nodes == reference.stats.nodes
+                && paged.stats.iterations == reference.stats.iterations;
+            all_identical &= identical;
+            emit(
+                n,
+                label,
+                "paged",
+                Some(pool),
+                &paged,
+                paged_time,
+                paged_pool,
+                identical,
+            );
+        }
     }
 
     // The flagship out-of-core row, opt-in because datagen alone takes a
@@ -983,7 +1006,16 @@ fn paged_out_of_core() -> bool {
         let n = 10_000_000usize;
         let pool = 3 * chunk_count(n) / 16;
         let (r, elapsed, counters) = solve(n, Strategy::SketchRefine, Some(pool));
-        emit(n, "paged-large", Some(pool), &r, elapsed, counters, true);
+        emit(
+            n,
+            "sketch-refine",
+            "paged-large",
+            Some(pool),
+            &r,
+            elapsed,
+            counters,
+            true,
+        );
     }
 
     let json = format!(

@@ -39,40 +39,32 @@ pub fn starting_package(
     let bounds = derive_bounds(view).clamp_to(n as u64 * view.max_multiplicity() as u64);
     let target = starting_cardinality(view, bounds.lower, bounds.upper);
 
-    // Order candidates by the chosen heuristic.
-    let mut order: Vec<usize> = (0..n).collect();
-    match heuristic {
-        StartHeuristic::Random => order.shuffle(rng),
-        StartHeuristic::Greedy => {
-            let coeffs = linearize_objective(view).ok().flatten().map(|l| l.coeffs);
-            match coeffs {
-                Some(c) => {
-                    let maximize = matches!(view.direction(), paql::ObjectiveDirection::Maximize);
-                    order.sort_by(|&a, &b| {
-                        let x = c[a];
-                        let y = c[b];
-                        if maximize {
-                            y.total_cmp(&x)
-                        } else {
-                            x.total_cmp(&y)
-                        }
-                    });
-                }
-                None => order.shuffle(rng),
+    // Order candidates by the chosen heuristic. The fill below never reads
+    // past the first `min(target, n)` of them (the first round already
+    // places that many; later REPEAT rounds start only when every candidate
+    // is in the order), so the greedy order is only selected that far.
+    let prefix = target.min(n as u64) as usize;
+    let mut order: Vec<usize> = match heuristic {
+        StartHeuristic::Greedy => match linearize_objective(view).ok().flatten() {
+            Some(objective) => {
+                let maximize = matches!(view.direction(), paql::ObjectiveDirection::Maximize);
+                top_by_objective(&objective.coeffs, maximize, prefix)
             }
-        }
-    }
+            None => shuffled(n, rng),
+        },
+        StartHeuristic::Random => shuffled(n, rng),
+    };
+    order.truncate(prefix);
 
     let mut package = Package::new();
     let mut placed = 0u64;
-    'outer: for round in 0..view.max_multiplicity() {
+    'outer: for _ in 0..view.max_multiplicity() {
         for &i in &order {
             if placed >= target {
                 break 'outer;
             }
             // First pass adds each tuple once; later passes add repetitions
             // (only relevant for REPEAT queries).
-            let _ = round;
             if package.multiplicity(view.candidates()[i]) < view.max_multiplicity() {
                 package.add(view.candidates()[i], 1);
                 placed += 1;
@@ -85,15 +77,51 @@ pub fn starting_package(
     package
 }
 
+/// All `n` candidate indices in a seeded random order.
+fn shuffled(n: usize, rng: &mut StdRng) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(rng);
+    order
+}
+
+/// The `k` best candidate indices by objective coefficient, best first:
+/// the prefix a stable sort of all indices by coefficient would produce.
+/// Keying on (coefficient by `total_cmp`, then index) makes the order total,
+/// so an unstable selection of the first `k` plus a sort of that prefix
+/// reproduces the stable sort's tie order in `O(n + k log k)`.
+fn top_by_objective(coeffs: &[f64], maximize: bool, k: usize) -> Vec<usize> {
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut order: Vec<usize> = (0..coeffs.len()).collect();
+    let key = |&a: &usize, &b: &usize| {
+        let by_coeff = if maximize {
+            coeffs[b].total_cmp(&coeffs[a])
+        } else {
+            coeffs[a].total_cmp(&coeffs[b])
+        };
+        by_coeff.then(a.cmp(&b))
+    };
+    if k < order.len() {
+        order.select_nth_unstable_by(k - 1, key);
+        order.truncate(k);
+    }
+    order.sort_unstable_by(key);
+    order
+}
+
 /// Feasibility-repair pass: accept single add/drop moves while they strictly
 /// reduce the violation (delta-evaluated on the view's columns). Each pass
 /// scans the whole candidate set in fixed-width chunks fanned out over
-/// `par`; per-chunk local bests combine in chunk order (first strictly
-/// better move wins, exactly the sequential scan's tie-breaking), so the
-/// repair trajectory is bit-identical at every thread count. The budget is
-/// checked per chunk, not per element: a chunk that observes expiry marks
-/// the pass interrupted and the state is left at its best-so-far.
-/// Returns `(evaluations, moves)` for the caller's stats.
+/// `par`; scan chunk `c` is column chunk `c`, so each chunk pins every term's
+/// chunk once ([`CandidateView::pin_chunk`]) and scores its candidates'
+/// violations from those slices — one buffer-pool read per term per chunk
+/// per pass on a paged view. Per-chunk local bests combine in chunk order
+/// (first strictly better move wins, exactly the sequential scan's
+/// tie-breaking), so the repair trajectory is bit-identical at every thread
+/// count. The budget is checked per chunk, not per element: a chunk that
+/// observes expiry marks the pass interrupted and the state is left at its
+/// best-so-far. Returns `(evaluations, moves)` for the caller's stats.
 pub(crate) fn repair_to_feasibility(
     state: &mut ViewState<'_>,
     budget: &Budget,
@@ -109,20 +137,22 @@ pub(crate) fn repair_to_feasibility(
         // One pass: chunk-local best move (`None` chunk = expired marker).
         let chunk_bests = {
             let snapshot: &ViewState<'_> = state;
-            par.run_chunks(n, |_, range| {
+            par.run_chunks(n, |c, range| {
                 if budget.expired() {
                     return None;
                 }
+                let pinned = view.pin_chunk(c);
                 let mut evals = 0u64;
                 let mut best: Option<(f64, usize, i64)> = None;
                 for idx in range {
+                    let mult = snapshot.multiplicity(idx) as i64;
                     for delta in [1i64, -1] {
-                        let mult = snapshot.multiplicity(idx) as i64;
                         if mult + delta < 0 || mult + delta > max_mult {
                             continue;
                         }
                         evals += 1;
-                        let (v, _) = snapshot.score_with(&[(idx, delta)]);
+                        let v =
+                            snapshot.violation_by(&[(idx, delta)], |i, out| pinned.entries(i, out));
                         if v + 1e-9 < best.map_or(violation, |(b, _, _)| b) {
                             best = Some((v, idx, delta));
                         }
@@ -222,6 +252,35 @@ mod tests {
             .copied()
             .unwrap();
         assert!(p.multiplicity(best) >= 1, "{}", p.render(&t));
+    }
+
+    #[test]
+    fn top_k_selection_matches_the_stable_full_sort() {
+        // Tie-heavy column: five values (both zeros among them, which
+        // `total_cmp` orders apart) spread over 3000 candidates.
+        let values = [2.0, -0.0, 0.0, 1.5, 2.0];
+        let coeffs: Vec<f64> = (0..3000u64)
+            .map(|i| values[(i.wrapping_mul(2_654_435_761) % 5) as usize])
+            .collect();
+        for maximize in [true, false] {
+            // The reference: a stable sort of every index by coefficient,
+            // whose tie order is candidate-index order.
+            let mut reference: Vec<usize> = (0..coeffs.len()).collect();
+            reference.sort_by(|&a, &b| {
+                if maximize {
+                    coeffs[b].total_cmp(&coeffs[a])
+                } else {
+                    coeffs[a].total_cmp(&coeffs[b])
+                }
+            });
+            for k in [0, 1, 2, 3, 17, 600, 2999, 3000] {
+                assert_eq!(
+                    top_by_objective(&coeffs, maximize, k),
+                    reference[..k],
+                    "maximize={maximize} k={k}"
+                );
+            }
+        }
     }
 
     #[test]

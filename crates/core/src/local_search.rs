@@ -20,7 +20,9 @@
 //! evaluation over the view's precomputed term columns (`O(#terms)` per
 //! neighbour), instead of cloning the package and re-aggregating every
 //! member — the exact change that makes the neighbourhood scan cheap enough
-//! to matter at scale.
+//! to matter at scale. The chunked scans fill each move's column entries
+//! from column chunks they pin once (`ViewState::score_by`), so on a paged
+//! view a scan chunk costs a few buffer-pool reads, not one per neighbour.
 
 use minidb::ops::{cross_join, filter, scan, Relation};
 use minidb::{BinaryOp, Expr, Table, TupleId};
@@ -32,7 +34,7 @@ use crate::budget::Budget;
 use crate::error::PbError;
 use crate::greedy::{random_cardinality, starting_package, StartHeuristic};
 use crate::package::Package;
-use crate::par::ParExec;
+use crate::par::{ParExec, CHUNK_WIDTH};
 use crate::result::{EvalStats, StrategyUsed};
 use crate::view::{CandidateView, ViewState};
 use crate::PbResult;
@@ -281,8 +283,19 @@ fn best_neighbour(
     // Single-tuple replacements (k = 1), always explored: the flattened
     // (outgoing member × incoming candidate) pair space, pair
     // `p = (members[p / n], p % n)`, walked chunk by chunk without a
-    // division per pair.
+    // division per pair. These chunks cover pairs, not candidates, so they
+    // do not line up with column chunks; but within one the incoming
+    // candidate sweeps consecutive indices, so the scan pins the column
+    // chunk holding it (re-pinning as it crosses a chunk boundary) and
+    // reads the outgoing member from `member_entries`, read once per
+    // neighbourhood. A starved pool would otherwise fault a page per pair
+    // and term, and a scan chunk would outlast the budget by seconds.
     if !members.is_empty() && n > 0 {
+        let terms = view.terms().len();
+        let member_entries: Vec<(f64, bool)> = members
+            .iter()
+            .flat_map(|&m| view.terms().iter().map(move |t| t.entry_at(m)))
+            .collect();
         let results = par.run_chunks(members.len() * n, |_, range| -> ChunkScan {
             if budget.expired() {
                 return None;
@@ -292,13 +305,22 @@ fn best_neighbour(
             let mut found: Option<((f64, Option<f64>), Move)> = None;
             let mut out_pos = range.start / n;
             let mut inn = range.start % n;
-            for _ in range {
+            let mut pinned = view.pin_chunk(inn / CHUNK_WIDTH);
+            let end = range.end;
+            for p in range {
                 let out = members[out_pos];
                 if inn != out {
                     let changes = [(out, -1), (inn, 1)];
                     if move_is_legal(state, &changes) {
                         evals += 1;
-                        let s = state.score_with(&changes);
+                        let out_entries = &member_entries[out_pos * terms..(out_pos + 1) * terms];
+                        let s = state.score_by(&changes, |i, entries| {
+                            if i == out {
+                                entries.copy_from_slice(out_entries);
+                            } else {
+                                pinned.entries(i, entries);
+                            }
+                        });
                         if lex_better(s, found.as_ref().map_or(bar, |(fs, _)| *fs), direction) {
                             found = Some((s, changes.to_vec()));
                         }
@@ -308,6 +330,9 @@ fn best_neighbour(
                 if inn == n {
                     inn = 0;
                     out_pos += 1;
+                }
+                if inn.is_multiple_of(CHUNK_WIDTH) && p + 1 < end {
+                    pinned = view.pin_chunk(inn / CHUNK_WIDTH);
                 }
             }
             Some((evals, found))
@@ -346,13 +371,15 @@ fn best_neighbour(
     }
 
     // Cardinality-changing moves: add one candidate / drop one member. These
-    // help when the starting cardinality guess was off. The add scan is
-    // chunked like the swaps; the drop scan is |P| evaluations and stays
-    // inline.
-    let results = par.run_chunks(n, |_, range| -> ChunkScan {
+    // help when the starting cardinality guess was off. The add scan runs
+    // over candidates, so scan chunk `c` is column chunk `c`: each chunk
+    // pins every term's chunk once and scores its candidates from the
+    // pinned slices. The drop scan is |P| evaluations and stays inline.
+    let results = par.run_chunks(n, |c, range| -> ChunkScan {
         if budget.expired() {
             return None;
         }
+        let pinned = view.pin_chunk(c);
         let bar = best_score;
         let mut evals = 0u64;
         let mut found: Option<((f64, Option<f64>), Move)> = None;
@@ -362,7 +389,7 @@ fn best_neighbour(
                 continue;
             }
             evals += 1;
-            let s = state.score_with(&changes);
+            let s = state.score_by(&changes, |i, out| pinned.entries(i, out));
             if lex_better(s, found.as_ref().map_or(bar, |(fs, _)| *fs), direction) {
                 found = Some((s, changes.to_vec()));
             }

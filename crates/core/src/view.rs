@@ -51,7 +51,9 @@ use paql::{AggCall, AggFunc, CmpOp, GlobalExpr, GlobalFormula, Objective, Object
 
 use crate::budget::Budget;
 use crate::cache::PartitionMemo;
-use crate::column_store::{ColumnPolicy, PageGuard, SpillStore, MASK_WORDS_PER_CHUNK, PAGE_BYTES};
+use crate::column_store::{
+    ColumnPolicy, PageGuard, PoolStats, SpillStore, MASK_WORDS_PER_CHUNK, PAGE_BYTES,
+};
 use crate::package::Package;
 use crate::par::{chunk_count, chunk_range, ParExec, CHUNK_WIDTH};
 use crate::partition::Partitioning;
@@ -280,8 +282,12 @@ impl TermColumn {
         }
     }
 
-    /// The coefficient of element `idx` (pins the element's chunk for paged
-    /// columns — prefer [`TermColumn::chunk`] cursors in scan loops).
+    /// The coefficient of element `idx`. Pins the element's chunk for paged
+    /// columns, so this point accessor (like [`TermColumn::included_at`] and
+    /// [`TermColumn::entry_at`]) is for `O(|package|)` access only: applying
+    /// a move, rescanning the members, reading a move's changed indices. No
+    /// scan over the candidates calls it per candidate; such scans pin each
+    /// chunk once ([`TermColumn::chunk`]).
     #[inline]
     pub fn coeff_at(&self, idx: usize) -> f64 {
         match &self.data {
@@ -293,7 +299,9 @@ impl TermColumn {
         }
     }
 
-    /// Whether element `idx` is included.
+    /// Whether element `idx` is included. For `O(|package|)` access only,
+    /// like [`TermColumn::coeff_at`]; no candidate scan calls it per
+    /// candidate.
     #[inline]
     pub fn included_at(&self, idx: usize) -> bool {
         match &self.data {
@@ -305,8 +313,12 @@ impl TermColumn {
         }
     }
 
-    /// `(coefficient, included)` of element `idx` with a single chunk pin —
-    /// the accessor [`ViewState`]'s delta scoring uses.
+    /// `(coefficient, included)` of element `idx` with a single chunk pin.
+    /// For `O(|package|)` access only, like [`TermColumn::coeff_at`]:
+    /// [`ViewState::apply`], the MIN/MAX member rescan and
+    /// [`ViewState::score_with`]'s read of a move's changed indices. No
+    /// scan over the candidates calls it per candidate: the repair and
+    /// local-search scans score from column chunks pinned once per chunk.
     #[inline]
     pub fn entry_at(&self, idx: usize) -> (f64, bool) {
         match &self.data {
@@ -318,6 +330,14 @@ impl TermColumn {
                     g.included(idx % CHUNK_WIDTH),
                 )
             }
+        }
+    }
+
+    /// The spill store holding the payload of a paged column.
+    fn spill_store(&self) -> Option<&Arc<SpillStore>> {
+        match &self.data {
+            ColumnData::Resident { .. } => None,
+            ColumnData::Paged { store, .. } => Some(store),
         }
     }
 
@@ -1069,6 +1089,43 @@ impl CandidateView {
         self.terms.iter().map(|t| t.spilled_bytes()).sum()
     }
 
+    /// Buffer-pool counters of the view's own spill stores, each distinct
+    /// store counted once (all zero for a resident view). Unlike the
+    /// process-wide [`crate::column_store::pool_stats`], other views' stores
+    /// do not leak in; reads of a store shared through the
+    /// [`crate::cache::ViewCache`] are counted for every view using it.
+    pub fn pool_counters(&self) -> PoolStats {
+        let mut stores: Vec<&Arc<SpillStore>> = Vec::new();
+        for store in self.terms.iter().filter_map(|t| t.spill_store()) {
+            if !stores.iter().any(|s| Arc::ptr_eq(s, store)) {
+                stores.push(store);
+            }
+        }
+        let mut stats = PoolStats::default();
+        for store in stores {
+            let (hits, misses, evictions) = store.counters();
+            stats.hits += hits;
+            stats.misses += misses;
+            stats.evictions += evictions;
+            stats.pages_spilled += store.page_count();
+        }
+        stats
+    }
+
+    /// Pins column chunk `c` of every term at once: one buffer-pool read per
+    /// term for a paged view, none for a resident one. Candidate scans chunk
+    /// their range with [`crate::par::ParExec::run_chunks`] over
+    /// [`CandidateView::candidate_count`], so the scan's chunk `c` is this
+    /// column chunk `c`, and every candidate of the range is scored from the
+    /// pinned slices ([`PinnedChunk::entries`] filling
+    /// [`ViewState::score_by`] or [`ViewState::violation_by`]).
+    pub(crate) fn pin_chunk(&self, c: usize) -> PinnedChunk<'_> {
+        PinnedChunk {
+            start: c * CHUNK_WIDTH,
+            chunks: self.terms.iter().map(|t| t.chunk(c)).collect(),
+        }
+    }
+
     /// Statistics over the candidate tuples (drives cardinality pruning and
     /// the greedy heuristics).
     pub fn stats(&self) -> &TableStats {
@@ -1397,22 +1454,108 @@ impl<'v> ViewState<'v> {
     /// Scores the state *as if* `changes` (candidate index, multiplicity
     /// delta) were applied, without mutating it. This is the delta evaluation
     /// behind swap moves: `O(#terms · #changes)` plus a member rescan for
-    /// MIN/MAX terms only.
+    /// MIN/MAX terms only. The changed indices' entries are read with one
+    /// [`TermColumn::entry_at`] per (change, term); candidate scans use
+    /// `score_by` to fill them from chunks pinned once instead.
     pub fn score_with(&self, changes: &[(usize, i64)]) -> (f64, Option<f64>) {
-        let mut scratch = Scratch {
+        let terms = &self.view.terms;
+        self.score_by(changes, |idx, out| {
+            for (entry, term) in out.iter_mut().zip(terms) {
+                *entry = term.entry_at(idx);
+            }
+        })
+    }
+
+    /// [`ViewState::score_with`] with the changed indices' entries written by
+    /// `fill(idx, out)` (one `out` slot per term) instead of read from the
+    /// columns: scans fill them from chunks they pinned once
+    /// ([`PinnedChunk::entries`]). Bit-identical to `score_with` whenever
+    /// `fill` writes the column's entries; it only skips the per-entry pool
+    /// reads.
+    pub(crate) fn score_by(
+        &self,
+        changes: &[(usize, i64)],
+        fill: impl Fn(usize, &mut [(f64, bool)]),
+    ) -> (f64, Option<f64>) {
+        self.overlay(changes, fill, |scratch| {
+            (scratch.violation(), scratch.objective_value())
+        })
+    }
+
+    /// The violation half of [`ViewState::score_by`], for scans that keep
+    /// nothing else (the feasibility repair).
+    pub(crate) fn violation_by(
+        &self,
+        changes: &[(usize, i64)],
+        fill: impl Fn(usize, &mut [(f64, bool)]),
+    ) -> f64 {
+        self.overlay(changes, fill, |scratch| scratch.violation())
+    }
+
+    /// Runs `score` on a [`Scratch`] overlay of `changes`, whose per-term
+    /// entries `fill(idx, out)` writes first (one `out` slot per term). The
+    /// buffer lives on the stack for the small move vectors every scan uses.
+    fn overlay<R>(
+        &self,
+        changes: &[(usize, i64)],
+        fill: impl Fn(usize, &mut [(f64, bool)]),
+        score: impl FnOnce(&mut Scratch<'_, 'v>) -> R,
+    ) -> R {
+        const INLINE_ENTRIES: usize = 32;
+        let terms = self.view.terms.len();
+        let len = changes.len() * terms;
+        let mut inline = [(0.0, false); INLINE_ENTRIES];
+        let mut heap = Vec::new();
+        let entries: &mut [(f64, bool)] = if len <= INLINE_ENTRIES {
+            &mut inline[..len]
+        } else {
+            heap.resize(len, (0.0, false));
+            &mut heap
+        };
+        if terms > 0 {
+            for (out, &(idx, _)) in entries.chunks_exact_mut(terms).zip(changes) {
+                fill(idx, out);
+            }
+        }
+        score(&mut Scratch {
             base: self,
             changes,
-        };
-        (scratch.violation(), scratch.objective_value())
+            entries,
+        })
+    }
+}
+
+/// Column chunk `c` of every term of a view, pinned together by
+/// [`CandidateView::pin_chunk`] for a scan over the chunk's candidates.
+pub(crate) struct PinnedChunk<'v> {
+    /// Candidate index of the chunk's first element.
+    start: usize,
+    /// One pinned chunk per term, in term order.
+    chunks: Vec<ColumnChunk<'v>>,
+}
+
+impl PinnedChunk<'_> {
+    /// Writes `(coefficient, included)` of candidate `idx` (which must lie
+    /// in this chunk) for every term into `out`.
+    #[inline]
+    pub(crate) fn entries(&self, idx: usize, out: &mut [(f64, bool)]) {
+        let i = idx - self.start;
+        for (entry, chunk) in out.iter_mut().zip(&self.chunks) {
+            *entry = (chunk.coeffs()[i], chunk.included(i));
+        }
     }
 }
 
 /// A lightweight "state + pending changes" overlay used by
-/// [`ViewState::score_with`]. Term accumulators are adjusted on the fly;
+/// [`ViewState::score_with`] and [`ViewState::score_by`]. Term accumulators
+/// are adjusted on the fly from the changed indices' prefetched entries;
 /// membership queries consult the overlay first.
 struct Scratch<'s, 'v> {
     base: &'s ViewState<'v>,
     changes: &'s [(usize, i64)],
+    /// `(coefficient, included)` per (change, term), change-major: the entry
+    /// of `changes[pos]` for term `t` is at `pos · #terms + t`.
+    entries: &'s [(f64, bool)],
 }
 
 impl Scratch<'_, '_> {
@@ -1427,9 +1570,14 @@ impl Scratch<'_, '_> {
         m.max(0) as u32
     }
 
+    /// The prefetched `(coefficient, included)` of `changes[pos]` for a term.
+    #[inline]
+    fn entry(&self, pos: usize, term_id: usize) -> (f64, bool) {
+        self.entries[pos * self.base.view.terms.len() + term_id]
+    }
+
     #[inline]
     fn accum(&self, term_id: usize) -> TermAccum {
-        let term = &self.base.view.terms[term_id];
         let mut accum = self.base.accums[term_id];
         // Process each distinct index once (repeated deltas to one candidate
         // — k=2 moves may touch the same index twice — are netted through
@@ -1439,7 +1587,7 @@ impl Scratch<'_, '_> {
             if self.changes[..pos].iter().any(|&(i, _)| i == idx) {
                 continue;
             }
-            let (coeff, inc) = term.entry_at(idx);
+            let (coeff, inc) = self.entry(pos, term_id);
             if !inc {
                 continue;
             }
@@ -1476,12 +1624,8 @@ impl Scratch<'_, '_> {
     fn min_max(&self, term_id: usize) -> Option<f64> {
         let term = &self.base.view.terms[term_id];
         let mut best: Option<f64> = None;
-        let mut consider = |idx: usize, mult: u32| {
-            if mult == 0 {
-                return;
-            }
-            let (v, inc) = term.entry_at(idx);
-            if !inc {
+        let mut consider = |mult: u32, (v, inc): (f64, bool)| {
+            if mult == 0 || !inc {
                 return;
             }
             best = Some(match (best, term.func) {
@@ -1494,10 +1638,10 @@ impl Scratch<'_, '_> {
             if self.changes.iter().any(|&(i, _)| i == idx) {
                 continue; // handled below with the overlay multiplicity
             }
-            consider(idx, m);
+            consider(m, term.entry_at(idx));
         }
-        for &(idx, _) in self.changes {
-            consider(idx, self.multiplicity(idx));
+        for (pos, &(idx, _)) in self.changes.iter().enumerate() {
+            consider(self.multiplicity(idx), self.entry(pos, term_id));
         }
         best
     }

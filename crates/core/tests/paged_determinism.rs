@@ -15,7 +15,8 @@
 use datagen::{recipes, scenarios, QueryParams, Seed};
 use minidb::{Catalog, Table};
 use packagebuilder::config::{EngineConfig, Strategy};
-use packagebuilder::par::ParExec;
+use packagebuilder::par::{chunk_count, ParExec};
+use packagebuilder::solver::{GreedySolver, SolveOptions, Solver};
 use packagebuilder::spec::PackageSpec;
 use packagebuilder::{ColumnPolicy, PackageEngine, PackageResult};
 use proptest::prelude::*;
@@ -251,4 +252,41 @@ fn paged_view_builds_match_resident_builds() {
             assert_eq!(r.chunk_meta(), p.chunk_meta(), "{threads} threads");
         }
     }
+}
+
+/// Pool traffic of a paged greedy solve: the repair scans pin each term's
+/// column chunk once per scan chunk and score every candidate of the chunk
+/// from it, so the solve reads at most `terms × chunks` pages per repair
+/// pass plus a few whole-column passes (the objective linearization of the
+/// greedy start, and the member reads of projecting and moving) — not one
+/// page per candidate per term per pass.
+#[test]
+fn paged_greedy_repair_reads_each_page_once_per_pass() {
+    let table = recipes(50_000, Seed(17));
+    let query = "SELECT PACKAGE(R) AS P FROM recipes R \
+                 SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500 \
+                 MAXIMIZE SUM(P.protein)";
+    let analyzed = paql::compile(query, table.schema()).unwrap();
+    let spec = PackageSpec::build_with(&analyzed, &table, &ColumnPolicy::paged(4), ParExec::new(2))
+        .unwrap();
+    let view = spec.view();
+    assert!(view.is_paged(), "paged policy must actually spill");
+    let before = view.pool_counters();
+    let outcome = GreedySolver.solve(view, &SolveOptions::default()).unwrap();
+    let after = view.pool_counters();
+    assert!(
+        outcome.stats.nodes > 0,
+        "the greedy start must need repair moves for the bound to bite"
+    );
+    let reads = (after.hits + after.misses) - (before.hits + before.misses);
+    let terms = view.terms().len() as u64;
+    let chunks = chunk_count(view.candidate_count()) as u64;
+    // A pass per accepted move, plus the final pass that finds none.
+    let passes = outcome.stats.nodes + 1;
+    assert!(
+        reads <= terms * chunks * (passes + 3),
+        "{reads} pool reads for {terms} terms × {chunks} chunks × {passes} passes \
+         ({} evaluations)",
+        outcome.stats.iterations
+    );
 }
